@@ -488,7 +488,10 @@ func (c *Conn) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	err := c.nc.Close()
+	// Record ErrConnClosed before closing the socket: otherwise the read
+	// loop can see the read error first and make it the connection's
+	// error, and a caller that closed the connection itself would get
+	// "use of closed network connection" instead of ErrConnClosed.
 	c.fail(ErrConnClosed)
-	return err
+	return c.nc.Close()
 }

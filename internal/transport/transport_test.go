@@ -207,11 +207,17 @@ func TestServerCloseFailsInflight(t *testing.T) {
 }
 
 func TestClientCloseFailsPending(t *testing.T) {
+	// The handler never answers before the client closes. It blocks on
+	// release rather than sleeping: Server.Close waits for in-flight
+	// handlers, so the release cleanup — registered after startServer's,
+	// hence run before it — must free the handler first.
+	release := make(chan struct{})
 	h := func(peer PeerInfo, req *proto.Request) *proto.Response {
-		time.Sleep(time.Hour) // never responds in test lifetime
+		<-release
 		return &proto.Response{}
 	}
 	_, addr := startServer(t, "unix", false, h)
+	t.Cleanup(func() { close(release) })
 	c, err := Dial("unix", addr)
 	if err != nil {
 		t.Fatal(err)

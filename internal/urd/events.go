@@ -25,9 +25,10 @@ import (
 //     queue by at most the size of the subscription's task set. A
 //     handle-holding client therefore always learns its tasks' fates.
 //   - Everything else (progress ticks, transitions on all-tasks
-//     subscriptions) is coalesced under pressure into one EvGap event
-//     carrying the drop count, delivered in-order once the queue
-//     drains.
+//     subscriptions) is coalesced under pressure: each drain of the
+//     queue ends with one EvGap event carrying the count dropped since
+//     the previous drain, so gaps arrive in order and their Dropped
+//     counts sum to the events dropped.
 type EventHub struct {
 	queueCap int
 	// progressMin is the hub-wide floor between progress ticks per
@@ -121,7 +122,7 @@ type eventSub struct {
 // offer appends an event to the subscriber's queue without ever
 // blocking. force admits the event past the cap (terminal transitions
 // of explicitly subscribed tasks); otherwise overflow is counted and
-// later surfaces as one EvGap event.
+// surfaces in the EvGap event that ends the next drain.
 func (s *eventSub) offer(ev proto.Event, limit int, force bool) {
 	s.mu.Lock()
 	if s.closed {
